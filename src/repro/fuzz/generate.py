@@ -659,7 +659,7 @@ def _emit_seq(b, seq_regs, fsm, memories, has_reset):
             if rng.random() < 0.3:
                 # A $signed cast makes the stored word carry the
                 # signed flag — per-word signedness is architectural
-                # state the lane planes must reproduce.
+                # state every backend must reproduce.
                 value = ast.FunctionCall(name="$signed", args=[value])
                 b.features.add("signed-memory-write")
             if rng.random() < 0.3:

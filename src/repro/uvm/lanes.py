@@ -1,286 +1,23 @@
-"""Lane-packed UVM test execution.
+"""Compatibility shim for the retired lane-packed UVM runner.
 
-``run_uvm_test_lanes`` runs N seed-varied sequences against ONE DUT as
-a single lane batch: one packed ``settle``/``tick`` advances every
-lane, per-port ``packed_poker`` closures drive all lanes' stimulus in
-one plane commit, and per-port ``reader`` closures extract each lane's
-samples without dict lookups (the "fused scoreboard sampling" half).
-Scoreboards, coverage collectors and UVM logs stay per lane, so lane
-``i``'s :class:`~repro.uvm.test.TestResult` is bit-identical to a
-scalar ``run_uvm_test(source, sequences[i], ..., backend="compiled")``
-run — the property the campaign's ``--lanes N`` parity gate enforces.
-
-When the sequences do not shape-align (per-row hold cycles or reset
-meta differ), the design does not pack, or the packed run raises, the
-runner degrades to per-lane scalar runs — bit-identical by
-construction, just without the speedup.
+``perfbench/`` (the ``verify-soak-lanes`` workload and its tracer)
+still calls :func:`run_uvm_test_lanes`; it stays until a later
+benchmark change retires that workload.  Each "lane" is now one scalar
+compiled-backend run, so results equal the scalar runs by
+construction.
 """
 
-from repro.sim.compile.lanes import make_lane_batch
-from repro.uvm.coverage import Coverage, CoverPoint
-from repro.uvm.log import UVMLog
-from repro.uvm.scoreboard import Scoreboard
 from repro.uvm.test import run_uvm_test
 
 
-class LaneSimView:
-    """Read-only per-lane stand-in for ``TestResult.simulator``.
-
-    Exposes what downstream consumers use — ``time``, ``event_count``,
-    the value-change ``trace``, and ``get``/``signal_width`` — without
-    pretending to be a drivable simulator.
-    """
-
-    def __init__(self, batch, lane):
-        self.time = batch.lane_time(lane)
-        self.event_count = batch.lane_event_count(lane)
-        self.trace = batch.traces[lane]
-        self._batch = batch
-        self._lane = lane
-
-    def get(self, name):
-        return self._batch.get(name, self._lane)
-
-    def signal_width(self, name):
-        return self._batch.signal_width(name)
-
-
-def _aligned(streams):
-    """Sequences pack only when every present row agrees on hold
-    cycles and reset meta across lanes (field *values* may differ —
-    that is the point)."""
-    longest = max(streams, key=len)
-    for stream in streams:
-        for txn, ref in zip(stream, longest):
-            if txn.hold_cycles != ref.hold_cycles:
-                return False
-            if bool(txn.meta.get("reset")) != bool(ref.meta.get("reset")):
-                return False
-            if bool(txn.meta.get("reset_glitch")) != \
-                    bool(ref.meta.get("reset_glitch")):
-                return False
-    return True
-
-
-def _scalar_fallback(source, streams, protocol, model_factory,
-                     compare_signals, top, coverage_factory, reason):
-    results = [
-        run_uvm_test(
-            source, stream, protocol, model_factory(), compare_signals,
-            top=top, backend="compiled",
-            coverage=coverage_factory() if coverage_factory else None,
-        )
-        for stream in streams
-    ]
-    return results, {"lanes": len(streams), "packed": False,
-                     "demotion": reason,
-                     "demotion_reasons": (reason,) if reason else ()}
-
-
 def run_uvm_test_lanes(source, sequences, protocol, model_factory,
-                       compare_signals, top=None, coverage_factory=None):
-    """Run ``len(sequences)`` UVM tests of one DUT as a lane batch.
-
-    ``model_factory``/``coverage_factory`` are zero-argument callables
-    producing a *fresh* reference model / coverage collector per lane
-    (reference models are stateful).  Returns ``(results, info)`` where
-    ``results[i]`` corresponds to ``sequences[i]`` and ``info`` reports
-    ``{"lanes", "packed", "demotion", "demotion_reasons"}`` for the
-    campaign's lane-batch counters (``demotion_reasons`` is the full
-    deduped set the summary string abbreviates).
-    """
-    streams = [list(sequence) for sequence in sequences]
-    lanes = len(streams)
-    if not streams or not max(len(s) for s in streams):
-        return _scalar_fallback(source, streams, protocol, model_factory,
-                                compare_signals, top, coverage_factory,
-                                "empty sequence")
-    if not _aligned(streams):
-        return _scalar_fallback(source, streams, protocol, model_factory,
-                                compare_signals, top, coverage_factory,
-                                "sequences not shape-aligned")
-    try:
-        batch = make_lane_batch(source, lanes, trace=True, top=top)
-    except Exception as exc:
-        # Elaboration/codegen failures must mirror the scalar path's
-        # per-lane error results exactly — re-run scalar, which
-        # reproduces the identical failure per lane.
-        return _scalar_fallback(source, streams, protocol, model_factory,
-                                compare_signals, top, coverage_factory,
-                                f"construction failed: {exc}")
-    try:
-        results = _run_batch(batch, streams, protocol, model_factory,
-                             compare_signals, coverage_factory)
-    except Exception as exc:
-        # A mid-run failure leaves the batch's lanes entangled with
-        # shared scheduling state; discard and replay every lane
-        # scalar so errors land exactly where the scalar run puts
-        # them.
-        return _scalar_fallback(source, streams, protocol, model_factory,
-                                compare_signals, top, coverage_factory,
-                                f"packed run failed: {exc}")
-    return results, {"lanes": lanes, "packed": bool(batch.packed),
-                     "demotion": batch.demotion,
-                     "demotion_reasons": tuple(
-                         getattr(batch, "demotion_reasons", ()) or
-                         ((batch.demotion,) if batch.demotion else ())
-                     )}
-
-
-def _run_batch(batch, streams, protocol, model_factory, compare_signals,
-               coverage_factory):
-    from repro.uvm.test import TestResult
-
-    lanes = len(streams)
-    length = max(len(s) for s in streams)
-    logs = [UVMLog() for _ in range(lanes)]
-    scoreboards = [
-        Scoreboard(model_factory(), compare_signals, logs[lane])
-        for lane in range(lanes)
+                       compare_signals, top=None):
+    """Run one UVM test of ``source`` per sequence on the compiled
+    backend (``model_factory`` builds a fresh reference model per
+    run); returns ``(results, {"lanes": n, "packed": False})``."""
+    results = [
+        run_uvm_test(source, sequence, protocol, model_factory(),
+                     compare_signals, top=top, backend="compiled")
+        for sequence in sequences
     ]
-    if coverage_factory is not None:
-        coverages = [coverage_factory() for _ in range(lanes)]
-    else:
-        coverages = []
-        for _ in range(lanes):
-            coverage = Coverage()
-            for name in batch.input_names():
-                if name in (protocol.clock, protocol.reset):
-                    continue
-                coverage.add_point(
-                    CoverPoint.auto(name, batch.signal_width(name)))
-            coverages.append(coverage)
-    probes = list(getattr(coverages[0], "probes", ()))
-    monitored = list(compare_signals) + [
-        name for name in probes if name not in compare_signals
-    ]
-    readers = [batch.reader(name) for name in monitored]
-
-    pokers = {}
-
-    def pk(name):
-        fn = pokers.get(name)
-        if fn is None:
-            fn = pokers[name] = batch.packed_poker(name)
-        return fn
-
-    for scoreboard in scoreboards:
-        scoreboard.reset()
-    for coverage in coverages:
-        if hasattr(coverage, "reset_trackers"):
-            coverage.reset_trackers()
-
-    def sample(rows, cycle):
-        """Fused scoreboard sampling: one pass over the reader
-        closures per active lane — no name lookups on the hot path."""
-        for lane, txn in enumerate(rows):
-            if txn is None:
-                continue
-            time = batch.lane_time(lane)
-            observed = {}
-            for name, reader in zip(monitored, readers):
-                observed[name] = reader(lane)
-            scoreboards[lane].check(txn, cycle, time, observed)
-            sample_values = dict(observed)
-            sample_values.update(txn.fields)
-            coverages[lane].sample(sample_values)
-
-    # -- reset (Driver.apply_reset, lane-wide) ------------------------------
-    if protocol.reset is not None:
-        for name, value in protocol.default_inputs.items():
-            pk(name)([value] * lanes)
-        if protocol.is_clocked:
-            pk(protocol.clock)([0] * lanes)
-        pk(protocol.reset)([protocol.reset_assert_value()] * lanes)
-        batch.settle()
-        if protocol.is_clocked:
-            batch.tick(protocol.clock, cycles=2)
-        else:
-            batch.step_time(20)
-        pk(protocol.reset)([protocol.reset_release_value()] * lanes)
-        batch.settle()
-
-    # -- sequence (Driver.drive, row by row across lanes) -------------------
-    defaults = protocol.default_inputs
-    for row in range(length):
-        rows = [stream[row] if row < len(stream) else None
-                for stream in streams]
-        for lane, txn in enumerate(rows):
-            if txn is None and row == len(streams[lane]):
-                batch.stop_lane(lane)
-        shape = next(txn for txn in rows if txn is not None)
-
-        if shape.meta.get("reset_glitch") and protocol.reset is not None:
-            # Async reset pulse with no clock edge (see Driver.drive).
-            level = protocol.reset_assert_value()
-            pk(protocol.reset)(
-                [level if txn is not None else None for txn in rows])
-            batch.settle()
-            batch.step_time(10)
-            sample(rows, 0)
-            level = protocol.reset_release_value()
-            pk(protocol.reset)(
-                [level if txn is not None else None for txn in rows])
-            batch.settle()
-            continue
-
-        if protocol.reset is not None:
-            in_reset = bool(shape.meta.get("reset"))
-            level = (protocol.reset_assert_value() if in_reset
-                     else protocol.reset_release_value())
-            pk(protocol.reset)(
-                [level if txn is not None else None for txn in rows])
-        names = set(defaults)
-        for txn in rows:
-            if txn is not None:
-                names.update(txn.fields)
-        for name in sorted(names):
-            default = defaults.get(name)
-            values = []
-            for txn in rows:
-                if txn is None:
-                    values.append(None)
-                elif name in txn:
-                    values.append(txn.fields[name])
-                else:
-                    values.append(default)
-            pk(name)(values)
-        batch.settle()
-
-        if not protocol.is_clocked:
-            batch.step_time(10)
-            sample(rows, 0)
-            continue
-
-        for cycle in range(shape.hold_cycles):
-            pk(protocol.clock)(
-                [1 if txn is not None else None for txn in rows])
-            batch.settle()
-            batch.step_time(5)
-            if protocol.sample_after_edge:
-                sample(rows, cycle)
-            pk(protocol.clock)(
-                [0 if txn is not None else None for txn in rows])
-            batch.settle()
-            batch.step_time(5)
-            if not protocol.sample_after_edge:
-                sample(rows, cycle)
-
-    results = []
-    for lane in range(lanes):
-        scoreboard = scoreboards[lane]
-        detail = {}
-        if hasattr(coverages[lane], "to_dict"):
-            detail["functional"] = coverages[lane].to_dict()
-        results.append(TestResult(
-            ok=True,
-            pass_rate=scoreboard.pass_rate,
-            mismatches=list(scoreboard.mismatches),
-            log=logs[lane],
-            coverage=coverages[lane].coverage,
-            trace=batch.traces[lane],
-            simulator=LaneSimView(batch, lane),
-            checked=scoreboard.checked,
-            coverage_detail=detail,
-        ))
-    return results
+    return results, {"lanes": len(results), "packed": False}

@@ -90,37 +90,45 @@ class UVMTest:
 
     def run(self):
         with trace.span("simulate", cat="uvm") as sp:
-            result = self._execute()
+            log = UVMLog()
+            try:
+                simulator = make_simulator(
+                    self.source, backend=self.backend, top=self.top,
+                    code_coverage=self.code_coverage,
+                )
+            except XCheckDivergence:
+                raise  # a backend bug, not a DUT failure: surface loudly
+            except (HdlError, SimulationError) as exc:
+                sp.set(elaborated=False)
+                result = self._elaboration_failure(log, exc)
+            else:
+                result = self._execute(simulator, log)
+            sp.set(ok=result.ok)
             simulator = result.simulator
+            design = getattr(simulator, "design", None)
+            module = getattr(design, "top_name", None) or self.top
+            if module:
+                sp.set(module=module)
             if simulator is not None:
-                design = getattr(simulator, "design", None)
-                sp.set(module=getattr(design, "top_name", "?"),
-                       cycles=int(getattr(simulator, "time", 0)) // 10,
-                       events=int(getattr(simulator, "event_count", 0)),
-                       ok=result.ok)
+                sp.set(cycles=int(getattr(simulator, "time", 0)) // 10,
+                       events=int(getattr(simulator, "event_count", 0)))
         return result
 
-    def _execute(self):
-        log = UVMLog()
-        try:
-            simulator = make_simulator(
-                self.source, backend=self.backend, top=self.top,
-                code_coverage=self.code_coverage,
-            )
-        except XCheckDivergence:
-            raise  # a backend bug, not a DUT failure: surface loudly
-        except (HdlError, SimulationError) as exc:
-            log.error(0, "ELAB", f"elaboration failed: {exc}")
-            # An initial-time SimulationError (combinational loop,
-            # runaway deltas) still recorded a partial trace: surface
-            # the half-constructed simulator so `simulate --vcd` can
-            # flush the waveform up to the abort point.
-            partial = getattr(exc, "partial_simulator", None)
-            return TestResult(
-                ok=False, log=log, error=str(exc),
-                trace=getattr(partial, "trace", None) or {},
-                simulator=partial,
-            )
+    @staticmethod
+    def _elaboration_failure(log, exc):
+        log.error(0, "ELAB", f"elaboration failed: {exc}")
+        # An initial-time SimulationError (combinational loop, runaway
+        # deltas) still recorded a partial trace: surface the
+        # half-constructed simulator so `simulate --vcd` can flush the
+        # waveform up to the abort point.
+        partial = getattr(exc, "partial_simulator", None)
+        return TestResult(
+            ok=False, log=log, error=str(exc),
+            trace=getattr(partial, "trace", None) or {},
+            simulator=partial,
+        )
+
+    def _execute(self, simulator, log):
         if self.record_ops:
             from repro.forensics.replay import RecordingSimulator
 

@@ -4,7 +4,7 @@ Covers the fault-injection harness itself (plan scoping, budget
 claims, site/identity matching), corrupt-cache quarantine, the
 per-unit wall-clock alarm, retry/backoff and poison-unit quarantine
 on both the serial and pool paths, scheduler-side deadline reclaim of
-wedged workers, lane-group partial-landing resume, graceful
+wedged workers, sibling-shard landing during crash recovery, graceful
 interrupts, and the CLI exit codes that surface all of it.
 
 Pool tests are marked ``campaign`` (they spawn worker processes) like
@@ -18,7 +18,6 @@ import time
 
 import pytest
 
-from repro.errgen.generator import generate_dataset
 from repro.obs.metrics import GLOBAL as global_metrics
 from repro.runner import (
     CampaignInterrupted,
@@ -26,11 +25,9 @@ from repro.runner import (
     FaultPolicy,
     ResultCache,
     UnitTimeout,
-    expand_grid,
 )
 from repro.runner import faultinject, faults
 from repro.runner.faultinject import InjectedFault
-from repro.runner.grid import WorkUnit
 
 
 # -- toy units (module-level for pool picklability) --------------------------
@@ -401,15 +398,15 @@ class TestPoolFaults:
         assert runner.fault_stats["worker_deaths"] >= 2
 
 
-# -- lane-group partial landing ----------------------------------------------
+# -- sibling-shard landing during crash recovery -----------------------------
 
 class _LateLandingCache(ResultCache):
-    """Simulates a sibling shard landing one member's record mid-run:
+    """Simulates a sibling shard landing one unit's record mid-run:
     the first read of ``late_key`` misses; any read after that (the
     post-crash cache recheck) finds the record on disk."""
 
-    def __init__(self, cache_dir, late_key, late_record):
-        super().__init__(cache_dir)
+    def __init__(self, cache_dir, late_key, late_record, **codec):
+        super().__init__(cache_dir, **codec)
         self._late_key = late_key
         self._late_record = late_record
         self._late_reads = 0
@@ -430,40 +427,22 @@ class _LateLandingCache(ResultCache):
 
 
 @pytest.mark.campaign
-def test_lane_group_partial_landing_reruns_only_missing_members(
-        tmp_path):
-    """A lane group whose worker dies after one member's record landed
-    must re-run only the missing members, bit-identically (satellite:
-    group re-split on partial landing)."""
-    from repro.lint.linter import Linter
-
-    instance = next(
-        inst for inst in generate_dataset(seed=0, per_operator=1,
-                                          target=None,
-                                          modules=["counter_12"])
-        if not Linter().lint(inst.buggy_source).errors
-    )
-    units = [
-        WorkUnit(index=i, instance=instance, method="uvllm", attempts=1,
-                 config_overrides=(("hr_seed", i),), backend="compiled")
-        for i in range(3)
-    ]
-    assert len({u.design_fingerprint for u in units}) == 1
-
-    reference = CampaignRunner(
-        jobs=1, lanes=2, cache=ResultCache(tmp_path / "ref"),
-    ).run(units)
-
-    cache = _LateLandingCache(tmp_path / "chaos",
-                              units[0].cache_key(), reference[0])
+def test_crashed_unit_landed_by_sibling_shard_is_not_rerun(tmp_path):
+    """A unit whose worker dies while a sibling shard lands the same
+    record resolves from the cache on recovery instead of re-running."""
+    reference = CampaignRunner(jobs=1, executor=run_toy).run(toys(3))
+    late = toys(3)[1]
+    cache = _LateLandingCache(tmp_path, late.cache_key(), reference[1],
+                              subdir="toys", encode=dict, decode=dict,
+                              schema=1)
     plan = faultinject.make_plan([
-        {"site": "unit", "match": units[1].cache_key(),
-         "kind": "crash", "times": 1},
+        {"site": "unit", "match": late.unit_id, "kind": "crash",
+         "times": 1},
     ])
     with faultinject.plan_scope(plan):
-        runner = CampaignRunner(jobs=2, lanes=2, cache=cache,
+        runner = CampaignRunner(jobs=2, cache=cache, executor=run_toy,
                                 policy=quick_policy())
-        records = runner.run(units)
+        records = runner.run(toys(3))
     assert records == reference
     assert runner.fault_stats["pool_respawns"] == 1
     # the post-crash recheck actually read the late-landed record...

@@ -20,13 +20,9 @@ import pytest
 
 from repro.errgen.generator import generate_dataset
 from repro.obs import export, sink, trace
-from repro.obs.metrics import (
-    DEMOTION_CATEGORIES,
-    MetricsRegistry,
-    classify_demotion,
-)
+from repro.obs.metrics import MetricsRegistry
 from repro.runner import expand_grid, run_units
-from repro.runner.report import ProgressReporter, format_progress
+from repro.runner.report import format_progress
 
 MODULE = "counter_12"
 
@@ -160,24 +156,6 @@ class TestMetrics:
             reg.observe("unit", value)
         assert reg.histogram("unit").rolling_median() == pytest.approx(1.0)
 
-    def test_classify_demotion_covers_real_reasons(self):
-        cases = {
-            "memories are not lane-packable": "memories",
-            "$time/$stime/$random in a process body": "system-functions",
-            "design is not levelizable": "comb-cycle",
-            "per-process shim would regress: x, y": "per-process-shim",
-            "sequences not shape-aligned": "stimulus-misaligned",
-            "empty sequence": "empty-sequence",
-            "construction failed: boom": "construction-failed",
-            "packed run failed: boom": "packed-run-failed",
-            "": "other",
-            None: "other",
-        }
-        for reason, expected in cases.items():
-            assert classify_demotion(reason) == expected
-            assert expected in DEMOTION_CATEGORIES
-
-
 class TestShardMerge:
     def _write_shards(self, path, naming_offset=0):
         """Synthesize a fixed span/metrics population as shard files."""
@@ -293,6 +271,28 @@ class TestCampaignTelemetry:
                          "cache-write", "repair-llm"):
             assert expected in names, f"missing {expected} span"
 
+    def test_unit_spans_nest_inside_campaign(self, units, tmp_path):
+        """Unit spans do not overlap: their summed wall fits inside the
+        campaign span, and every attempt sits under exactly one unit."""
+        cache_dir = str(tmp_path / "nesting")
+        self._run(units, cache_dir, jobs=1, telemetry=True)
+        spans, _ = sink.read_shards(os.path.join(cache_dir, "telemetry"))
+        campaigns = [s for s in spans if s["name"] == "campaign"]
+        assert len(campaigns) == 1
+        unit_wall = sum(s["dur"] for s in spans if s["name"] == "unit")
+        assert 0 < unit_wall <= campaigns[0]["dur"]
+        by_id = {(s["pid"], s["sid"]): s for s in spans}
+        attempts = [s for s in spans if s["name"] == "attempt"]
+        assert attempts
+        for attempt in attempts:
+            ancestors = []
+            parent = attempt["parent"]
+            while parent:
+                node = by_id[(attempt["pid"], parent)]
+                ancestors.append(node["name"])
+                parent = node["parent"]
+            assert ancestors.count("unit") == 1
+
     def test_summary_and_chrome_trace(self, units, tmp_path):
         cache_dir = str(tmp_path / "report")
         self._run(units, cache_dir, jobs=1, telemetry=True)
@@ -329,21 +329,40 @@ class TestProgressEta:
         line = format_progress(100, 100, 5.0, eta_seconds=9.0)
         assert "eta" not in line
 
-    def test_finish_prints_demotion_histogram(self):
-        import io
 
-        stream = io.StringIO()
-        reporter = ProgressReporter(2, stream=stream, clock=lambda: 0.0)
-        reporter.update(2, cached=0)
-        reporter.finish(demotions={"memories": 3, "comb-cycle": 1})
-        output = stream.getvalue()
-        assert "lane demotions: memories x3, comb-cycle x1" in output
+class TestSimulateSpans:
+    BROKEN = "module counter_12(input clk, output reg [3:0] q\n"
 
-    def test_finish_silent_without_demotions(self):
-        import io
+    def _simulate(self, source, top):
+        from repro.bench.registry import get_module, make_hr_sequence
+        from repro.uvm.test import run_uvm_test
 
-        stream = io.StringIO()
-        reporter = ProgressReporter(1, stream=stream, clock=lambda: 0.0)
-        reporter.update(1, cached=0)
-        reporter.finish(demotions={})
-        assert "demotions" not in stream.getvalue()
+        bench = get_module(MODULE)
+        trace.enable(True)
+        result = run_uvm_test(source, make_hr_sequence(bench),
+                              bench.protocol, bench.model(),
+                              bench.compare_signals, top=top)
+        spans = [s for s in trace.drain() if s["name"] == "simulate"]
+        assert len(spans) == 1
+        return result, spans[0]
+
+    def test_elaboration_failure_is_labelled(self):
+        result, span = self._simulate(self.BROKEN, top=MODULE)
+        assert not result.ok
+        assert span["attrs"]["ok"] is False
+        assert span["attrs"]["elaborated"] is False
+        assert span["attrs"]["module"] == MODULE
+
+    def test_report_gives_failed_elaborations_their_own_row(self):
+        from repro.bench.registry import get_module
+
+        _result, failed = self._simulate(self.BROKEN, top=None)
+        assert "module" not in failed["attrs"]
+        _result, passed = self._simulate(get_module(MODULE).source,
+                                         top=None)
+        assert passed["attrs"]["ok"] is True
+        assert passed["attrs"]["module"] == MODULE
+        report = export.summarize([failed, passed], None)
+        assert set(report["modules"]) == {MODULE, "(elaboration failed)"}
+        assert report["modules"]["(elaboration failed)"]["runs"] == 1
+        assert "?" not in report["modules"]

@@ -303,3 +303,83 @@ class TestFrSuiteStrictness:
         hr = sum(1 for _ in make_hr_sequence(bench))
         fr = sum(1 for _ in make_fr_sequence(bench))
         assert fr > hr
+
+
+# -- benchmark contract: the lane-runner shim ---------------------------------
+#
+# ``perfbench/`` still drives ``run_uvm_test_lanes`` (its
+# ``verify-soak-lanes`` workload) and reads the kernel-cache counters;
+# these tests pin what it relies on.
+
+def _scalar_results(bench, source, seqs):
+    return [
+        run_uvm_test(source, seq, bench.protocol, bench.model(),
+                     bench.compare_signals, top=bench.top,
+                     backend="compiled")
+        for seq in seqs
+    ]
+
+
+def _assert_result_parity(lane_results, scalar_results):
+    assert len(lane_results) == len(scalar_results)
+    for a, b in zip(lane_results, scalar_results):
+        assert a.ok == b.ok and a.error == b.error
+        assert a.pass_rate == b.pass_rate and a.checked == b.checked
+        assert a.coverage == b.coverage
+        assert a.trace == b.trace
+        assert len(a.mismatches) == len(b.mismatches)
+        for ma, mb in zip(a.mismatches, b.mismatches):
+            assert (ma.time, ma.signal, ma.expected, ma.actual,
+                    ma.inputs) == (mb.time, mb.signal, mb.expected,
+                                   mb.actual, mb.inputs)
+        assert a.simulator.event_count == b.simulator.event_count
+        assert a.simulator.time == b.simulator.time
+
+
+@pytest.mark.parametrize("name", ["counter_12", "adder_8bit",
+                                  "edge_detect"])
+def test_uvm_lane_runner_matches_scalar(name):
+    """Per-seed results of one batch equal scalar compiled runs of the
+    same sequences, including with uneven stream lengths."""
+    from repro.uvm.lanes import run_uvm_test_lanes
+
+    bench = get_module(name)
+    seqs = [list(make_hr_sequence(bench, seed=seed)) for seed in range(4)]
+    seqs[2] = seqs[2][:len(seqs[2]) // 2]
+    results, info = run_uvm_test_lanes(
+        bench.source, seqs, bench.protocol, bench.model,
+        bench.compare_signals, top=bench.top,
+    )
+    assert info == {"lanes": 4, "packed": False}
+    _assert_result_parity(results, _scalar_results(bench, bench.source,
+                                                   seqs))
+
+
+def test_uvm_lane_runner_matches_scalar_on_buggy_source():
+    """Mismatch records of a failing design are per-seed exact too."""
+    from repro.errgen.generator import generate_dataset
+    from repro.uvm.lanes import run_uvm_test_lanes
+
+    for instance in generate_dataset(seed=7)[:16]:
+        bench = get_module(instance.module_name)
+        seqs = [list(make_hr_sequence(bench, seed=seed))
+                for seed in range(3)]
+        scalars = _scalar_results(bench, instance.buggy_source, seqs)
+        if not any(len(r.mismatches) for r in scalars):
+            continue
+        results, _info = run_uvm_test_lanes(
+            instance.buggy_source, seqs, bench.protocol, bench.model,
+            bench.compare_signals, top=bench.top,
+        )
+        _assert_result_parity(results, scalars)
+        return
+    pytest.fail("no mutant in the sample produced mismatches")
+
+
+def test_kernel_cache_stats_keep_benchmark_keys():
+    from repro.sim.compile import cache as kernel_cache
+
+    stats = kernel_cache.stats()
+    assert {"compiled", "memo_hits", "lane_compiled",
+            "lane_memo_hits"} <= set(stats)
+    assert stats["lane_compiled"] == stats["lane_memo_hits"] == 0
