@@ -12,9 +12,12 @@ fails loudly on anything a green-but-meaningless run would hide:
   from the on-disk verdict cache and reproduce the cold pass's
   feature histogram bit-for-bit (determinism + resumability);
 - the feature histogram must cover the generator's special
-  constructs (FSMs, memories, comb-cycle fallback, demoted
-  processes, hierarchy) — a generator regression that quietly stops
-  emitting a construct would otherwise shrink the tested grammar.
+  constructs (FSMs, memories, comb cycles, demoted processes,
+  hierarchy) — a generator regression that quietly stops emitting a
+  construct would otherwise shrink the tested grammar.  Comb-cycle
+  (gated-latch) designs do not levelize, so they run wholly on the
+  interpreter on both backends; demoted processes run on the
+  interpreter inside the compiled kernel.
 
 To reproduce a CI failure locally, download the fuzz-failures
 artifact and replay it:

@@ -437,7 +437,7 @@ class _ReplayExecutor(_Executor):
     # base class; replay must read the shadow instead.
 
     def _resolve_index_store(self, target):
-        index = self.evaluator.const_or_runtime_int(target.index)
+        index = self.evaluator.const_int(target.index)
         if isinstance(target.base, ast.Identifier):
             entry = self._lookup_target(target.base.name)
             if isinstance(entry, Memory):
@@ -464,15 +464,15 @@ class _ReplayExecutor(_Executor):
         if not isinstance(entry, Signal):
             raise SimulationError("part-select on non-signal target")
         if target.mode == ":":
-            msb = self.evaluator.const_or_runtime_int(target.msb)
-            lsb = self.evaluator.const_or_runtime_int(target.lsb)
+            msb = self.evaluator.const_int(target.msb)
+            lsb = self.evaluator.const_int(target.lsb)
         elif target.mode == "+:":
-            lsb = self.evaluator.const_or_runtime_int(target.msb)
-            width = self.evaluator.const_or_runtime_int(target.lsb) or 1
+            lsb = self.evaluator.const_int(target.msb)
+            width = self.evaluator.const_int(target.lsb) or 1
             msb = None if lsb is None else lsb + width - 1
         else:
-            msb = self.evaluator.const_or_runtime_int(target.msb)
-            width = self.evaluator.const_or_runtime_int(target.lsb) or 1
+            msb = self.evaluator.const_int(target.msb)
+            width = self.evaluator.const_int(target.lsb) or 1
             lsb = None if msb is None else msb - width + 1
 
         def store_slice(value, e=entry, hi=msb, lo=lsb):

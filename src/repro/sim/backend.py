@@ -3,8 +3,9 @@
 Three backends share the :class:`~repro.sim.engine.Simulator` API:
 
 - ``interp`` — the event-driven tree-walking interpreter (reference);
-- ``compiled`` — levelized, codegen'd native-closure execution
-  (:mod:`repro.sim.compile`), bit-identical values/traces;
+- ``compiled`` — one generated settle/tick kernel per levelized design
+  (:mod:`repro.sim.compile`), bit-identical values/traces; designs
+  that do not levelize run on the interpreter;
 - ``xcheck`` — both in lockstep, raising
   :class:`~repro.sim.compile.xcheck.XCheckDivergence` on the first
   architectural-state mismatch.

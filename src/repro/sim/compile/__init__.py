@@ -1,14 +1,15 @@
-"""Compiled simulation: whole-design kernel fusion + codegen.
+"""Compiled simulation: one fused settle/tick kernel per design.
 
 See :mod:`repro.sim.compile.engine` for the backend entry point,
 :mod:`repro.sim.compile.kernel` for the fused settle/tick generator,
+:mod:`repro.sim.compile.codegen` for the process-body compiler it uses,
 :mod:`repro.sim.compile.cache` for the cross-run compilation cache,
 and :mod:`repro.sim.backend` for selection (``interp``/``compiled``/
 ``xcheck``).
 """
 
 from repro.sim.compile.cache import get_kernel, kernel_cache_key
-from repro.sim.compile.codegen import NotCompilable, compile_process
+from repro.sim.compile.codegen import NotCompilable
 from repro.sim.compile.engine import CompiledSimulator
 from repro.sim.compile.kernel import build_kernel_source
 from repro.sim.compile.levelize import levelize
@@ -20,7 +21,6 @@ __all__ = [
     "XCheckDivergence",
     "XCheckSimulator",
     "build_kernel_source",
-    "compile_process",
     "get_kernel",
     "kernel_cache_key",
     "levelize",

@@ -175,9 +175,16 @@ def _store_source(path, source):
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
-            handle.write(source)
-        os.replace(tmp_path, path)
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(source)
+            os.replace(tmp_path, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+            raise
     except OSError:
         pass  # a read-only or racing cache dir never fails the run
 

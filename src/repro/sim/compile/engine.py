@@ -18,10 +18,10 @@ execute and how combinational logic settles:
   part selects, whole-memory stores, ...) are *demoted*: they stay on
   the inherited interpreter, called from inside the fused kernel at
   their topological level;
-- designs with combinational cycles (or unresolvable write targets)
-  fall back to the previous architecture: every body compiled once
-  into a per-process closure (:mod:`repro.sim.compile.codegen`),
-  scheduled by the inherited event-driven engine.
+- designs that do not levelize (combinational cycles, order-sensitive
+  readers, unresolvable write targets) run wholly on the inherited
+  interpreter: every process is listed in ``fallback_reasons`` and
+  ``compiled_process_count`` is 0.
 
 Correctness contract: settled signal values, x-propagation, traces and
 raised errors are bit-identical to the interpreter.  The *number* of
@@ -33,10 +33,11 @@ The ``xcheck`` backend enforces the value contract at every settle.
 """
 
 from repro.sim.compile.cache import get_kernel
-from repro.sim.compile.codegen import compile_process
 from repro.sim.compile.levelize import levelize
 from repro.sim.elaborate import elaborate
 from repro.sim.engine import Simulator
+
+_NOT_LEVELIZED = "design does not levelize"
 
 
 class CompiledSimulator(Simulator):
@@ -54,11 +55,6 @@ class CompiledSimulator(Simulator):
 
             code_coverage = CodeCoverage(design)
         self.code_coverage = code_coverage or None
-        # The untraced write path must be installed before any codegen
-        # binds self._write_signal (see Simulator.__init__).
-        if not trace:
-            self._write_signal = self._write_signal_untraced
-        self._compiled = {}        # legacy per-process closures
         self._kernel_fns = {}      # id(process) -> kernel fn(sim)
         self._kernel_ticks = {}    # clock name -> tick fn
         self._kernel_pokes = {}    # port name -> poke fn
@@ -89,24 +85,15 @@ class CompiledSimulator(Simulator):
             # dispatches straight into the generated kernel.
             self.settle = kernel["settle"].__get__(self)
         else:
-            # Event-driven fallback: per-process compiled closures
-            # under the inherited worklist scheduler.
             for process in design.processes:
-                closure, source = compile_process(self, process)
-                if closure is not None:
-                    self._compiled[id(process)] = closure
-                    self.compiled_sources[process] = source
-                else:
-                    self.fallback_reasons[process] = source
+                self.fallback_reasons[process] = _NOT_LEVELIZED
         super().__init__(design, trace=trace)
 
     # -- compile stats -------------------------------------------------------
 
     @property
     def compiled_process_count(self):
-        if self.levelized:
-            return len(self.design.processes) - len(self.fallback_reasons)
-        return len(self._compiled)
+        return len(self.design.processes) - len(self.fallback_reasons)
 
     @property
     def interpreted_process_count(self):
@@ -149,14 +136,7 @@ class CompiledSimulator(Simulator):
             finally:
                 self._running = previous
             return
-        closure = self._compiled.get(id(process))
-        if closure is None:
-            return super()._run_process(process)
-        previous, self._running = self._running, process
-        try:
-            closure()
-        finally:
-            self._running = previous
+        super()._run_process(process)
 
     # -- compiled store helpers (bound into generated code) ------------------
 

@@ -18,9 +18,9 @@ writes (matching ``@(*)`` event-control semantics in the engine).
 
 If any write target cannot be resolved statically, or the graph is
 cyclic, :func:`levelize` returns ``None`` and the compiled engine
-falls back to event-driven scheduling for the whole comb set — the
-conservative choice that keeps scheduling bit-compatible with the
-interpreter on combinational loops.
+runs the whole design on the interpreter — the conservative choice
+that keeps scheduling bit-compatible with the interpreter on
+combinational loops.
 """
 
 from collections import deque

@@ -58,9 +58,7 @@ class Simulator:
         if not trace:
             # Opt-out must be cheap: swap in a write path with no
             # canonical-trace bookkeeping at all (no per-write flag
-            # tests), instead of recording-and-discarding.  Subclasses
-            # that bind self._write_signal during codegen install the
-            # same alias before their compile step runs.
+            # tests), instead of recording-and-discarding.
             self._write_signal = self._write_signal_untraced
         self.trace = {}
         self.event_count = 0
@@ -487,12 +485,12 @@ class _Executor:
             return 1
         if isinstance(target, ast.PartSelect):
             if target.mode == ":":
-                msb = self.evaluator.const_or_runtime_int(target.msb)
-                lsb = self.evaluator.const_or_runtime_int(target.lsb)
+                msb = self.evaluator.const_int(target.msb)
+                lsb = self.evaluator.const_int(target.lsb)
                 if msb is None or lsb is None:
                     return 1
                 return abs(msb - lsb) + 1
-            width = self.evaluator.const_or_runtime_int(target.lsb)
+            width = self.evaluator.const_int(target.lsb)
             return width or 1
         if isinstance(target, ast.Concat):
             return sum(self._lvalue_width(p) for p in target.parts)
@@ -538,7 +536,7 @@ class _Executor:
         )
 
     def _resolve_index_store(self, target):
-        index = self.evaluator.const_or_runtime_int(target.index)
+        index = self.evaluator.const_int(target.index)
         if isinstance(target.base, ast.Identifier):
             entry = self._lookup_target(target.base.name)
             if isinstance(entry, Memory):
@@ -562,15 +560,15 @@ class _Executor:
             raise SimulationError("unsupported part-select target")
         entry = self._lookup_target(target.base.name)
         if target.mode == ":":
-            msb = self.evaluator.const_or_runtime_int(target.msb)
-            lsb = self.evaluator.const_or_runtime_int(target.lsb)
+            msb = self.evaluator.const_int(target.msb)
+            lsb = self.evaluator.const_int(target.lsb)
         elif target.mode == "+:":
-            lsb = self.evaluator.const_or_runtime_int(target.msb)
-            width = self.evaluator.const_or_runtime_int(target.lsb) or 1
+            lsb = self.evaluator.const_int(target.msb)
+            width = self.evaluator.const_int(target.lsb) or 1
             msb = None if lsb is None else lsb + width - 1
         else:
-            msb = self.evaluator.const_or_runtime_int(target.msb)
-            width = self.evaluator.const_or_runtime_int(target.lsb) or 1
+            msb = self.evaluator.const_int(target.msb)
+            width = self.evaluator.const_int(target.lsb) or 1
             lsb = None if msb is None else msb - width + 1
         if not isinstance(entry, Signal):
             raise SimulationError("part-select on non-signal target")

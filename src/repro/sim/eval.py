@@ -127,7 +127,7 @@ class Evaluator:
         )
 
     def const_int(self, expr):
-        """Evaluate a constant expression to an int (None if x)."""
+        """Evaluate ``expr`` (constant or run-time) to an int (None if x)."""
         value = self.eval(expr)
         if value.has_x:
             return None
@@ -306,7 +306,7 @@ class Evaluator:
 
     def _eval_index(self, expr, ctx_width):
         base = expr.base
-        index = self.const_or_runtime_int(expr.index)
+        index = self.const_int(expr.index)
         if isinstance(base, ast.Identifier):
             memory = self.resolver.read_memory(base.name)
             if memory is not None:
@@ -326,11 +326,11 @@ class Evaluator:
         base_value = self.eval(expr.base)
         result = None
         if expr.mode == ":":
-            msb = self.const_or_runtime_int(expr.msb)
-            lsb = self.const_or_runtime_int(expr.lsb)
+            msb = self.const_int(expr.msb)
+            lsb = self.const_int(expr.lsb)
         elif expr.mode == "+:":
-            start = self.const_or_runtime_int(expr.msb)
-            width = self.const_or_runtime_int(expr.lsb) or 1
+            start = self.const_int(expr.msb)
+            width = self.const_int(expr.lsb) or 1
             if start is None:
                 # An x base index reads as all-x at the select's own
                 # width; the context extension below must still apply
@@ -339,8 +339,8 @@ class Evaluator:
             else:
                 lsb, msb = start, start + width - 1
         else:  # "-:"
-            start = self.const_or_runtime_int(expr.msb)
-            width = self.const_or_runtime_int(expr.lsb) or 1
+            start = self.const_int(expr.msb)
+            width = self.const_int(expr.lsb) or 1
             if start is None:
                 result = Value.all_x(width)
             else:
@@ -379,13 +379,6 @@ class Evaluator:
         if expr.name == "$random":
             return Value(getattr(self.resolver, "random_value", 0), 32)
         raise EvalError(f"unsupported function {expr.name}", expr.location)
-
-    def const_or_runtime_int(self, expr):
-        """Evaluate an index expression to a plain int (None if x)."""
-        value = self.eval(expr)
-        if value.has_x:
-            return None
-        return value.to_int()
 
 
 class ConstResolver:

@@ -332,6 +332,24 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     assert sim.get_int("q") == 9  # disk-loaded kernel actually works
 
 
+def test_disk_store_failure_leaves_no_temp_file(tmp_path, monkeypatch):
+    """A failed rename is swallowed (the run goes on with the freshly
+    built kernel) and the half-written temp file is removed."""
+    store = tmp_path / "compiled"
+    kernel_cache.enable_disk_cache(store)
+
+    def failing_replace(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr(kernel_cache.os, "replace", failing_replace)
+    sim = CompiledSimulator(elaborate(CACHED_DUT))
+    assert kernel_cache.stats()["compiled"] == 1
+    sim.poke("a", 5)
+    sim.tick()
+    assert sim.get_int("q") == 5
+    assert list(store.iterdir()) == []
+
+
 def _build_cached_dut(_unit):
     CompiledSimulator(elaborate(CACHED_DUT))
     return {"ok": True}
@@ -362,22 +380,42 @@ def test_progress_line_surfaces_kernel_cache():
 # -- fused kernel still falls back safely ------------------------------------
 
 def test_comb_cycle_still_uses_per_process_fallback():
+    """A design that does not levelize gets no kernel: every process
+    stays on the interpreter, so values, traces, event counts and code
+    coverage are exactly the plain interpreter's."""
     source = """
-module loop(input a, output y);
+module loop(input clk, input a, output y, output reg r);
     wire p, q;
     assign p = q | a;
     assign q = p & a;
     assign y = q;
+    always @(posedge clk)
+        if (y) r <= a;
+        else r <= 1'b0;
 endmodule
 """
     design = elaborate(source)
     assert levelize(design) is None
-    sim = CompiledSimulator(design)
+    sim = CompiledSimulator(design, code_coverage=True)
     assert not sim.levelized
     assert sim.kernel_source is None
-    assert sim.compiled_process_count == 3  # legacy closures still used
-    ref = Simulator(elaborate(source))
-    for value in (0, 1, 0, 1):
-        sim.set("a", value)
-        ref.set("a", value)
+    assert sim.compiled_process_count == 0
+    assert sim.fallback_reasons == {
+        process: "design does not levelize" for process in design.processes
+    }
+    ref = Simulator(elaborate(source), code_coverage=True)
+    for value in (0, 1, 0, 1, 1, 0):
+        for dut in (sim, ref):
+            dut.set("a", value)
+            dut.tick()
+            dut.code_coverage.sample_stable()
         assert sim.get("y") == ref.get("y")
+        assert sim.get("r") == ref.get("r")
+    assert sim.trace == ref.trace
+    assert sim.event_count == ref.event_count
+    got = sim.code_coverage.finalize(sim)
+    want = ref.code_coverage.finalize(ref)
+    assert got.stmt_hits == want.stmt_hits
+    assert got.branch_hits == want.branch_hits
+    assert got.toggle == want.toggle
+    assert want.branch_hits and want.toggle
