@@ -87,7 +87,8 @@ COVERAGE_FLOOR = 95.0
 #: means a refactor silently detached that layer from the telemetry
 #: pipeline while reports kept rendering plausible output.
 REQUIRED_SPANS = ("campaign", "unit", "attempt", "simulate", "parse",
-                  "elaborate", "cache-read", "cache-write", "repair-llm")
+                  "lint", "elaborate", "cache-read", "cache-write",
+                  "repair-llm")
 
 
 def fail(message):

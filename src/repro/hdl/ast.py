@@ -6,7 +6,9 @@ repair agents can quote exact line numbers in their prompts.
 
 Nodes are plain dataclasses.  :meth:`Node.children` yields nested nodes
 generically, which the DFG builder, the mutation engine and the printer
-all rely on for traversal.
+all rely on for traversal.  It reads a per-class tuple of the names of
+the fields that can hold nodes, built from the dataclass fields on the
+class's first visit (:func:`_child_fields`).
 """
 
 from dataclasses import dataclass, field, fields
@@ -21,8 +23,11 @@ class Node:
 
     def children(self):
         """Yield all child :class:`Node` instances (recursing into lists)."""
-        for f in fields(self):
-            value = getattr(self, f.name)
+        names = _CHILD_FIELDS.get(type(self))
+        if names is None:
+            names = _child_fields(type(self))
+        for name in names:
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, (list, tuple)):
@@ -39,6 +44,20 @@ class Node:
         yield self
         for child in self.children():
             yield from child.walk()
+
+
+#: Field types that never hold a node, so traversal skips those fields.
+_LEAF_TYPES = (str, int, bool, Optional[str], Optional[int], List[str],
+               SourceLocation)
+
+#: Node class -> names of its fields that may hold nodes.
+_CHILD_FIELDS = {}
+
+
+def _child_fields(cls):
+    names = tuple(f.name for f in fields(cls) if f.type not in _LEAF_TYPES)
+    _CHILD_FIELDS[cls] = names
+    return names
 
 
 # --------------------------------------------------------------------------

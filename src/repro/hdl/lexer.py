@@ -1,12 +1,20 @@
 """Tokenizer for the supported Verilog subset.
 
-The lexer is hand-written (no regex table) so that it can report precise
-source locations and recover the exact offending character for syntax
-diagnostics — the same information Verilator feeds into its error log,
-which the UVLLM pre-processing stage depends on.
+One master regular expression (:data:`_MASTER`) splits the text into
+tokens and trivia in a single left-to-right scan; token locations come
+from a table of line-start offsets (``bisect``), so scanning never
+counts columns.  Diagnostics carry the exact ``line:column`` of the
+offending character — the same information Verilator feeds into its
+error log, which the UVLLM pre-processing stage depends on.
+
+As in IEEE 1364, identifiers and digits are ASCII.  A non-ASCII
+character outside comments, string literals and directive lines is never
+part of a token: it raises ``unexpected character`` at its own location.
 """
 
 import enum
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.hdl.errors import HdlSyntaxError, SourceLocation
@@ -44,6 +52,35 @@ MULTI_PUNCT = [
 
 SINGLE_PUNCT = set("()[]{};:,.#?@=+-*/%<>!&|^~")
 
+# Whitespace, comments and compiler directives (a backtick skips the rest
+# of its line).  Each alternative matches one whole construct in exactly
+# one way, so the trivia run before a token is always the longest one —
+# a based literal may not borrow its digits from inside a comment.
+_TRIVIA = (
+    r"(?:[ \t\r\n]|//[^\n]*(?![^\n])|/\*(?:[^*]|\*+[^*/])*\*+/"
+    r"|`[^\n]*(?![^\n]))"
+)
+_GAP = re.compile(_TRIVIA + "*")
+_NEWLINE = re.compile("\n")
+
+_MASTER = re.compile(
+    rf"(?P<skip>{_TRIVIA}+)"
+    r"|(?P<open>/\*)"
+    rf"|(?P<based>(?:(?P<size>[0-9][0-9_]*){_GAP.pattern})?"
+    rf"'(?P<sign>[sS]?)(?P<base>[bBoOdDhH]){_GAP.pattern}"
+    r"(?P<digits>[A-Za-z0-9_?]+))"
+    rf"|(?P<badsized>[0-9][0-9_]*){_GAP.pattern}'"
+    r"|(?P<number>[0-9][0-9_]*)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_$]*)"
+    r"|(?P<system>\$[A-Za-z0-9_]*)"
+    r'|(?P<string>"[^"\n]*")'
+    r"|(?P<punct>"
+    + "|".join(re.escape(op) for op in MULTI_PUNCT)
+    + "|[" + re.escape("".join(sorted(SINGLE_PUNCT))) + "])"
+    r"|(?P<quote>')"
+    r'|(?P<badstring>")'
+)
+
 
 @dataclass
 class Token:
@@ -74,168 +111,89 @@ class Lexer:
 
     def __init__(self, source):
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+        #: Offset of the first character of each line.
+        self._line_starts = [0]
+        self._line_starts.extend(m.end() for m in _NEWLINE.finditer(source))
 
-    def _location(self):
-        return SourceLocation(self.line, self.column)
+    def _location(self, pos):
+        line = bisect_right(self._line_starts, pos)
+        return SourceLocation(line, pos - self._line_starts[line - 1] + 1)
 
-    def _peek(self, offset=0):
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
+    def _error(self, message, pos):
+        return HdlSyntaxError(message, self._location(pos))
 
-    def _advance(self, count=1):
-        for _ in range(count):
-            if self.pos >= len(self.source):
-                return
-            if self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
+    def _reject(self, pos, message, start):
+        """Raise ``message`` for the token at ``start``, which failed on
+        the character at ``pos`` — unless that character is non-ASCII,
+        which is reported as unexpected at its own location."""
+        ch = self.source[pos:pos + 1]
+        if not ch.isascii():
+            raise self._error(f"unexpected character {ch!r}", pos)
+        raise self._error(message, start)
 
-    def _skip_trivia(self):
-        """Skip whitespace, comments, and compiler directives."""
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._location()
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise HdlSyntaxError("unterminated block comment", start)
-            elif ch == "`":
-                # Compiler directive (`timescale, `define ...): skip line.
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def next_token(self):
-        """Return the next token, or an EOF token at end of input."""
-        self._skip_trivia()
-        loc = self._location()
-        if self.pos >= len(self.source):
-            return Token(TokenKind.EOF, "", loc)
-
-        ch = self._peek()
-        if ch.isalpha() or ch == "_":
-            return self._lex_ident(loc)
-        if ch.isdigit():
-            return self._lex_number(loc)
-        if ch == "'":
-            return self._lex_based_number(loc, size_text="")
-        if ch == '"':
-            return self._lex_string(loc)
-        if ch == "$":
-            return self._lex_system_ident(loc)
-        return self._lex_punct(loc)
-
-    def _lex_ident(self, loc):
-        start = self.pos
-        while self.pos < len(self.source) and (
-            self._peek().isalnum() or self._peek() in "_$"
-        ):
-            self._advance()
-        text = self.source[start:self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, loc)
-
-    def _lex_number(self, loc):
-        start = self.pos
-        while self.pos < len(self.source) and (
-            self._peek().isdigit() or self._peek() == "_"
-        ):
-            self._advance()
-        size_text = self.source[start:self.pos]
-        # A decimal literal followed by a base marker is a sized literal.
-        save = (self.pos, self.line, self.column)
-        self._skip_trivia()
-        if self._peek() == "'":
-            return self._lex_based_number(loc, size_text=size_text)
-        self.pos, self.line, self.column = save
-        return Token(TokenKind.NUMBER, size_text, loc)
-
-    def _lex_based_number(self, loc, size_text):
-        self._advance()  # consume the apostrophe
-        signed = ""
-        if self._peek() in "sS":
-            signed = self._peek()
-            self._advance()
-        base = self._peek()
-        if base not in "bBoOdDhH":
-            raise HdlSyntaxError(
-                f"invalid base specifier {base!r} in number literal", loc
+    def _bad_based(self, quote, start):
+        """Raise the diagnostic for the malformed based literal whose
+        apostrophe is at ``quote`` (the literal starts at ``start``)."""
+        pos = quote + 1
+        if self.source[pos:pos + 1] in ("s", "S"):
+            pos += 1
+        base = self.source[pos:pos + 1]
+        if base and base not in "bBoOdDhH":
+            self._reject(
+                pos, f"invalid base specifier {base!r} in number literal",
+                start,
             )
-        self._advance()
-        self._skip_trivia()
-        digits_start = self.pos
-        while self.pos < len(self.source) and (
-            self._peek().isalnum() or self._peek() in "_?"
-        ):
-            self._advance()
-        digits = self.source[digits_start:self.pos]
-        if not digits:
-            raise HdlSyntaxError("number literal is missing digits", loc)
-        text = f"{size_text}'{signed}{base}{digits}"
-        return Token(TokenKind.BASED_NUMBER, text, loc)
-
-    def _lex_string(self, loc):
-        self._advance()  # opening quote
-        start = self.pos
-        while self.pos < len(self.source) and self._peek() != '"':
-            if self._peek() == "\n":
-                raise HdlSyntaxError("unterminated string literal", loc)
-            self._advance()
-        if self.pos >= len(self.source):
-            raise HdlSyntaxError("unterminated string literal", loc)
-        text = self.source[start:self.pos]
-        self._advance()  # closing quote
-        return Token(TokenKind.STRING, text, loc)
-
-    def _lex_system_ident(self, loc):
-        self._advance()  # the $
-        start = self.pos
-        while self.pos < len(self.source) and (
-            self._peek().isalnum() or self._peek() == "_"
-        ):
-            self._advance()
-        text = self.source[start:self.pos]
-        if not text:
-            raise HdlSyntaxError("bare '$' is not a valid token", loc)
-        return Token(TokenKind.SYSTEM_IDENT, "$" + text, loc)
-
-    def _lex_punct(self, loc):
-        for op in MULTI_PUNCT:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token(TokenKind.PUNCT, op, loc)
-        ch = self._peek()
-        if ch in SINGLE_PUNCT:
-            self._advance()
-            return Token(TokenKind.PUNCT, ch, loc)
-        raise HdlSyntaxError(f"unexpected character {ch!r}", loc)
+        pos = _GAP.match(self.source, pos + len(base)).end()
+        if self.source.startswith("/*", pos):
+            raise self._error("unterminated block comment", pos)
+        self._reject(pos, "number literal is missing digits", start)
 
     def tokens(self):
         """Yield tokens until (and including) EOF."""
-        while True:
-            token = self.next_token()
-            yield token
-            if token.kind == TokenKind.EOF:
-                return
+        source = self.source
+        pos = 0
+        # ``finditer`` searches past a character no alternative matches;
+        # a match that does not start where the last one ended marks it.
+        for match in _MASTER.finditer(source):
+            start = match.start()
+            if start != pos:
+                break
+            pos = match.end()
+            group = match.lastgroup
+            if group == "skip":
+                continue
+            loc = self._location(start)
+            if group == "ident":
+                text = match.group()
+                kind = TokenKind.KEYWORD if text in KEYWORDS \
+                    else TokenKind.IDENT
+                yield Token(kind, text, loc)
+            elif group == "punct":
+                yield Token(TokenKind.PUNCT, match.group(), loc)
+            elif group == "number":
+                yield Token(TokenKind.NUMBER, match.group(), loc)
+            elif group == "based":
+                size, sign, base, digits = match.group(
+                    "size", "sign", "base", "digits")
+                yield Token(TokenKind.BASED_NUMBER,
+                            f"{size or ''}'{sign}{base}{digits}", loc)
+            elif group == "system":
+                if pos - start == 1:
+                    self._reject(pos, "bare '$' is not a valid token", start)
+                yield Token(TokenKind.SYSTEM_IDENT, match.group(), loc)
+            elif group == "string":
+                yield Token(TokenKind.STRING, source[start + 1:pos - 1], loc)
+            elif group == "badsized":
+                self._bad_based(pos - 1, start)
+            elif group == "quote":
+                self._bad_based(start, start)
+            elif group == "open":
+                raise HdlSyntaxError("unterminated block comment", loc)
+            else:  # badstring
+                raise HdlSyntaxError("unterminated string literal", loc)
+        if pos < len(source):
+            raise self._error(f"unexpected character {source[pos]!r}", pos)
+        yield Token(TokenKind.EOF, "", self._location(pos))
 
 
 def tokenize(source):

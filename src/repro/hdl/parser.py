@@ -6,6 +6,8 @@ locations; the linter converts these into Verilator-style ``%Error``
 lines that the UVLLM pre-processing stage feeds to the repair LLM.
 """
 
+import functools
+
 from repro.hdl import ast
 from repro.hdl.errors import HdlSyntaxError
 from repro.hdl.lexer import Lexer, TokenKind
@@ -776,12 +778,44 @@ class Parser:
         return expr
 
 
+#: How many distinct texts :func:`parse_source` remembers.  A campaign
+#: re-parses each candidate at lint, localization, elaboration and
+#: re-verification; a larger memo buys few more hits for much more memory.
+PARSE_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _parse_or_error(source):
+    """The tree of ``source``, or ``(message, location)`` of its syntax
+    error."""
+    try:
+        return Parser(source).parse_source()
+    except HdlSyntaxError as exc:
+        return exc.message, exc.location
+
+
 def parse_source(source):
-    """Parse Verilog text into a :class:`ast.SourceFile`."""
+    """Parse Verilog text into a :class:`ast.SourceFile`.
+
+    Results are memoized per process, keyed by the text itself (the
+    last :data:`PARSE_MEMO_SIZE` distinct texts).  A repeated text
+    returns the *same* tree, so parsed trees are shared and must not be
+    mutated: deep-copy one before editing it, as ``fuzz/shrink.py``
+    does.  A syntax error raises a fresh :class:`HdlSyntaxError` with
+    the memoized message and location on every call.  Every call opens
+    a ``parse`` span whose ``memo`` attribute is ``"hit"`` or
+    ``"miss"``.
+    """
     from repro.obs import trace
 
-    with trace.span("parse", cat="hdl", chars=len(source)):
-        return Parser(source).parse_source()
+    with trace.span("parse", cat="hdl", chars=len(source)) as span:
+        hits = _parse_or_error.cache_info().hits
+        result = _parse_or_error(source)
+        span.set(memo="hit" if _parse_or_error.cache_info().hits > hits
+                 else "miss")
+        if isinstance(result, tuple):
+            raise HdlSyntaxError(*result)
+        return result
 
 
 def parse_module(source):

@@ -9,6 +9,7 @@ so that prompt-construction code (and tests) can pattern-match the same
 way UVLLM's scripts match real Verilator output.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import List
 
@@ -62,6 +63,11 @@ class LintReport:
         return [d for d in self.warnings if d.code in codes]
 
 
+#: How many distinct ``(text, rules)`` pairs :meth:`Linter.lint`
+#: remembers, like :data:`repro.hdl.parser.PARSE_MEMO_SIZE`.
+LINT_MEMO_SIZE = 64
+
+
 class Linter:
     """Runs the syntax check and all semantic rules.
 
@@ -76,29 +82,48 @@ class Linter:
         ]
 
     def lint(self, source):
-        """Lint Verilog text and return a :class:`LintReport`."""
-        report = LintReport()
-        try:
-            source_file = parse_source(source)
-        except HdlSyntaxError as exc:
-            report.parse_ok = False
-            report.diagnostics.append(
-                Diagnostic(
-                    severity="error",
-                    code="SYNTAX",
-                    message=exc.message,
-                    location=exc.location,
-                )
-            )
+        """Lint Verilog text and return a :class:`LintReport`.
+
+        Reports are memoized per process by the text and the enabled
+        rules, so a repeated call returns the same report object:
+        treat it as read-only.  Every call opens a ``lint`` span whose
+        ``memo`` attribute is ``"hit"`` or ``"miss"``.
+        """
+        from repro.obs import trace
+
+        with trace.span("lint", cat="lint", chars=len(source)) as span:
+            hits = _lint.cache_info().hits
+            report = _lint(source, tuple(self.rules))
+            span.set(memo="hit" if _lint.cache_info().hits > hits
+                     else "miss")
             return report
 
-        for module in source_file.modules:
-            context = rules.RuleContext(module, source_file)
-            for rule in self.rules:
-                for diagnostic in rule.check(context):
-                    report.diagnostics.append(diagnostic)
-        report.diagnostics.sort(key=lambda d: (d.location.line, d.location.column))
+
+@functools.lru_cache(maxsize=LINT_MEMO_SIZE)
+def _lint(source, selected):
+    """The report of the ``selected`` rules on ``source``."""
+    report = LintReport()
+    try:
+        source_file = parse_source(source)
+    except HdlSyntaxError as exc:
+        report.parse_ok = False
+        report.diagnostics.append(
+            Diagnostic(
+                severity="error",
+                code="SYNTAX",
+                message=exc.message,
+                location=exc.location,
+            )
+        )
         return report
+
+    for module in source_file.modules:
+        context = rules.RuleContext(module, source_file)
+        for rule in selected:
+            for diagnostic in rule.check(context):
+                report.diagnostics.append(diagnostic)
+    report.diagnostics.sort(key=lambda d: (d.location.line, d.location.column))
+    return report
 
 
 def lint_source(source, enabled_rules=None):

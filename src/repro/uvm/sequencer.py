@@ -16,8 +16,10 @@ class Sequencer:
         self._recorded = []
 
     def item_stream(self):
-        """Yield transactions, recording each one issued."""
+        """Yield transactions, recording each one issued and numbering
+        it by its position in the stimulus (``txn_id``)."""
         for txn in self.sequence:
+            txn.txn_id = self.issued
             self.issued += 1
             self._recorded.append(txn)
             yield txn

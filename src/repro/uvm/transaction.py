@@ -2,6 +2,10 @@
 
 import itertools
 
+#: Not read by the program: transaction ids are stimulus positions (see
+#: :class:`Transaction`).  ``perfbench/tracer.py`` still saves and
+#: restores this counter around materializing a sequence; delete both
+#: together.
 _txn_counter = itertools.count()
 
 
@@ -18,7 +22,7 @@ class Transaction:
 
     def __init__(self, fields=None, hold_cycles=1, meta=None):
         self.fields = dict(fields or {})
-        self.txn_id = next(_txn_counter)
+        self.txn_id = None
         self.hold_cycles = max(1, hold_cycles)
         self.meta = dict(meta or {})
 

@@ -235,3 +235,39 @@ class TestGoldenDesignsClean:
         report = lint_source(get_module(name).source)
         assert not report.errors
         assert not report.warnings_with_code(*FIXABLE_WARNINGS)
+
+
+class TestLintMemo:
+    SOURCE = (
+        "module m(input clk, input [7:0] a, output reg [3:0] y,\n"
+        "         output reg z);\n"
+        "always @(*) z <= a[0];\n"
+        "always @(posedge clk) y <= a;\n"
+        "endmodule"
+    )
+
+    def test_rule_subsets_get_their_own_reports(self):
+        from repro.lint.linter import Linter, _lint
+
+        width, full = Linter(enabled_rules=["WIDTH"]), Linter()
+        reports = {}
+        for linter in (width, full, width, full):
+            report = linter.lint(self.SOURCE)
+            assert report == _lint.__wrapped__(self.SOURCE,
+                                               tuple(linter.rules))
+            reports.setdefault(id(linter), report)
+            assert report is reports[id(linter)]
+        width_codes = {d.code for d in reports[id(width)].diagnostics}
+        full_codes = {d.code for d in reports[id(full)].diagnostics}
+        assert width_codes == {"WIDTHTRUNC"}
+        assert {"WIDTHTRUNC", "COMBDLY"} <= full_codes
+
+    def test_memo_holds_at_most_its_bound(self):
+        from repro.lint.linter import LINT_MEMO_SIZE, _lint
+
+        for index in range(LINT_MEMO_SIZE + 8):
+            lint_source(f"module bound_{index}; endmodule")
+            lint_source(f"module bound_{index}; endmodule", ["WIDTH"])
+        info = _lint.cache_info()
+        assert info.maxsize == LINT_MEMO_SIZE
+        assert info.currsize <= LINT_MEMO_SIZE

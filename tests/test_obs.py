@@ -75,6 +75,20 @@ class TestTracer:
         (span,) = trace.drain()
         assert span["attrs"]["error"] == "RuntimeError"
 
+    def test_parse_and_lint_spans_mark_memo_hits(self):
+        from repro.hdl.parser import parse_source
+        from repro.lint.linter import Linter
+
+        text = "module memo_spans(input a, output y); assign y = a; endmodule"
+        trace.enable(True)
+        for _ in range(2):
+            parse_source(text)
+            Linter().lint(text + "\n")
+        spans = [(s["name"], s["attrs"]["memo"]) for s in trace.drain()]
+        assert spans == [("parse", "miss"), ("parse", "miss"),
+                         ("lint", "miss"), ("parse", "hit"),
+                         ("lint", "hit")]
+
     def test_span_dicts_are_json_pure(self):
         trace.enable(True)
         with trace.span("a", n=1, label="x"):
@@ -267,7 +281,7 @@ class TestCampaignTelemetry:
         spans, _ = sink.read_shards(os.path.join(cache_dir, "telemetry"))
         names = {s["name"] for s in spans}
         for expected in ("campaign", "unit", "attempt", "simulate",
-                         "parse", "elaborate", "cache-read",
+                         "parse", "lint", "elaborate", "cache-read",
                          "cache-write", "repair-llm"):
             assert expected in names, f"missing {expected} span"
 

@@ -280,3 +280,68 @@ class TestErrorMessages:
         with pytest.raises(HdlSyntaxError) as err:
             parse_module("module m;\nwire a\nendmodule")
         assert err.value.location.line == 3  # error detected at endmodule
+
+
+class TestParseMemo:
+    """``parse_source`` shares one tree per distinct text."""
+
+    def test_consumers_leave_a_memoized_tree_unchanged(self):
+        from repro.bench import all_modules, get_module, make_hr_sequence
+        from repro.forensics.diverge import fanin_cone
+        from repro.lint.linter import Linter
+        from repro.locate.dfg import build_dfg
+        from repro.locate.engine import LocalizationEngine
+        from repro.sim.elaborate import elaborate
+        from repro.uvm import run_uvm_test
+
+        bench = get_module("adder_8bit")
+        buggy = bench.source.replace("a + b + cin", "a - b + cin")
+        tree = parse_source(buggy)
+        before = repr(tree)
+        Linter().lint(buggy)
+        elaborate(buggy)
+        elaborate(tree, top=bench.top)
+        build_dfg(tree.modules[-1])
+        result = run_uvm_test(buggy, make_hr_sequence(bench), bench.protocol,
+                              bench.model(), bench.compare_signals)
+        assert result.mismatches
+        LocalizationEngine().analyze(buggy, result, iteration=5)
+        fanin_cone(buggy, "sum")
+        assert parse_source(buggy) is tree
+        assert repr(tree) == before
+
+        for golden in all_modules():
+            tree = parse_source(golden.source)
+            before = repr(tree)
+            Linter().lint(golden.source)
+            elaborate(golden.source, top=golden.top)
+            for module in tree.modules:
+                build_dfg(module)
+            fanin_cone(golden.source, golden.compare_signals[0],
+                       top=golden.top)
+            assert parse_source(golden.source) is tree
+            assert repr(tree) == before, golden.name
+
+    def test_repeated_syntax_error_is_a_fresh_exception(self):
+        text = "module m;\nassign y = ;\nendmodule"
+        raised = []
+        for _ in range(2):
+            with pytest.raises(HdlSyntaxError) as err:
+                parse_source(text)
+            raised.append(err.value)
+        first, second = raised
+        assert first is not second
+        assert (first.message, first.location) == \
+            (second.message, second.location)
+        assert first.location.line == 2
+
+    def test_memo_holds_at_most_its_bound(self):
+        from repro.hdl.parser import PARSE_MEMO_SIZE, _parse_or_error
+
+        for index in range(PARSE_MEMO_SIZE + 8):
+            parse_source(f"module bound_{index}; endmodule")
+            with pytest.raises(HdlSyntaxError):
+                parse_source(f"module bound_{index}; wire endmodule")
+        info = _parse_or_error.cache_info()
+        assert info.maxsize == PARSE_MEMO_SIZE
+        assert info.currsize <= PARSE_MEMO_SIZE

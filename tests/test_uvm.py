@@ -11,6 +11,7 @@ from repro.uvm import (
     DriveProtocol,
     RandomSequence,
     ResetSequence,
+    Sequencer,
     Transaction,
     UVMLog,
     run_uvm_test,
@@ -84,7 +85,7 @@ class TestSequences:
         seq = DirectedSequence([base])
         first = list(seq)[0]
         second = list(seq)[0]
-        assert first.txn_id != second.txn_id
+        assert first is not second and first is not base
         assert first.fields == second.fields
 
 
@@ -99,7 +100,12 @@ class TestTransaction:
         assert Transaction({}, hold_cycles=0).hold_cycles == 1
 
     def test_ids_monotonic(self):
-        assert Transaction({}).txn_id < Transaction({}).txn_id
+        """Ids are positions in the run's stimulus, assigned as the
+        sequencer issues each item."""
+        sequence = RandomSequence({"a": (0, 3)}, 4, seed=0)
+        assert Transaction({}).txn_id is None
+        assert [t.txn_id for t in Sequencer(sequence).item_stream()] == \
+            [0, 1, 2, 3]
 
 
 class TestScoreboardAndLog:
@@ -146,6 +152,20 @@ class TestScoreboardAndLog:
         assert parsed.error_count == result.log.error_count
         assert parsed.mismatches()[0].signal == \
             result.log.mismatches()[0].signal
+
+    def test_records_do_not_depend_on_process_history(self):
+        """The same run twice in one process, each on a freshly built
+        same-seed sequence, gives equal mismatch records and logs."""
+        bench = get_module("adder_8bit")
+        buggy = bench.source.replace("a + b + cin", "a - b + cin")
+        first, second = (
+            run_uvm_test(buggy, make_hr_sequence(bench), bench.protocol,
+                         bench.model(), bench.compare_signals)
+            for _ in range(2)
+        )
+        assert first.mismatches
+        assert first.mismatches == second.mismatches
+        assert first.log.entries == second.log.entries
 
     def test_elaboration_failure_reported(self):
         bench = get_module("adder_8bit")
